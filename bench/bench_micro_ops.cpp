@@ -9,6 +9,10 @@
 // the dispatcher picked for this process; set CYBERHD_KERNELS=scalar to
 // pin it. The backend in use is printed to stderr at startup so CSV output
 // on stdout stays parseable.
+//
+// Benchmarks whose body runs on the thread pool are timed in wall-clock
+// (UseRealTime): google-benchmark's default CPU time counts the main
+// thread only, which would credit the pool's work as free.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -100,8 +104,9 @@ BENCHMARK_CAPTURE(BM_KernelXorPopcount, avx2, "avx2")
 BENCHMARK_CAPTURE(BM_KernelXorPopcount, avx512, "avx512")
     ->Arg(512)->Arg(4096)->Arg(32768);
 
-// The blocked similarity tile — the kernel behind similarities_batch and
-// the minibatch trainer. range(0) is D; the tile is 64 rows x 8 classes.
+// The blocked similarity tile — the kernel behind similarities_into and
+// the minibatch trainer — reading its rows through a row-pointer table, as
+// every caller does. range(0) is D; the tile is 64 rows x 8 classes.
 void BM_KernelSimilaritiesTile(benchmark::State& state, const char* name) {
   const core::Kernels* k = backend(name);
   if (skip_unavailable(state, k)) return;
@@ -109,9 +114,11 @@ void BM_KernelSimilaritiesTile(benchmark::State& state, const char* name) {
   const std::size_t rows = 64, classes = 8;
   const auto h = random_vec(rows * dims, 31);
   const auto cls = random_vec(classes * dims, 32);
+  std::vector<const float*> h_rows(rows);
+  for (std::size_t r = 0; r < rows; ++r) h_rows[r] = h.data() + r * dims;
   std::vector<float> out(rows * classes);
   for (auto _ : state) {
-    k->similarities_tile_f32(h.data(), rows, cls.data(), classes, dims,
+    k->similarities_tile_f32(h_rows.data(), rows, cls.data(), classes, dims,
                              out.data());
     benchmark::DoNotOptimize(out.data());
   }
@@ -264,7 +271,7 @@ void BM_RbfEncodeBatchParallel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(256 * dims * features));
 }
-BENCHMARK(BM_RbfEncodeBatchParallel)->Arg(512)->Arg(4096);
+BENCHMARK(BM_RbfEncodeBatchParallel)->Arg(512)->Arg(4096)->UseRealTime();
 
 void BM_Quantize(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
@@ -371,15 +378,15 @@ void BM_CyberHdPredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.test.rows()));
 }
-BENCHMARK(BM_CyberHdPredictBatch);
+BENCHMARK(BM_CyberHdPredictBatch)->UseRealTime();
 
 // ---- serving pipeline: hot vs cold encode cache ----------------------------
 //
 // The staged scores_batch path on a replay-heavy stream (the NIDS serving
 // shape: most arrivals repeat a bounded working set of flows). cold runs
 // with the encode cache disabled — every row pays the full encode; hot
-// arms and pre-warms the cache, so repeats replay out of the ring and the
-// pipeline degenerates to (probe + memcpy + tile scoring). items/s is
+// arms and pre-warms the cache, so repeats are scored in place in the ring
+// and the pipeline degenerates to (probe + pin + tile scoring). items/s is
 // flows scored per second; the hot/cold ratio is the serving speedup the
 // cache buys at a 100% steady-state hit rate.
 
@@ -435,7 +442,7 @@ void BM_ServingThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(ServingFixture::kFlows));
   f.model.set_encode_cache(0);  // leave the shared fixture cache-free
 }
-BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1);
+BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1)->UseRealTime();
 
 // ---- quantized serving: the packed pipeline, cold and hot ------------------
 //
@@ -468,7 +475,8 @@ BENCHMARK(BM_ServingThroughputQuantized)
     ->Args({8, 0})
     ->Args({8, 1})
     ->Args({1, 0})
-    ->Args({1, 1});
+    ->Args({1, 1})
+    ->UseRealTime();
 
 // ---- training throughput: per-sample rule vs minibatch tiles ---------------
 //
@@ -534,7 +542,13 @@ void BM_TrainerEpoch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(EpochFixture::kSamples));
 }
-BENCHMARK(BM_TrainerEpoch)->Arg(0)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_TrainerEpoch)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->UseRealTime();
 
 /// The scoring-only bound of the minibatch epoch: labels are the model's
 /// own predictions, so the decision pass records zero updates and the
@@ -569,7 +583,7 @@ void BM_TrainerEpochScoringOnly(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(EpochFixture::kSamples));
 }
-BENCHMARK(BM_TrainerEpochScoringOnly)->Arg(0);
+BENCHMARK(BM_TrainerEpochScoringOnly)->Arg(0)->UseRealTime();
 
 /// End-to-end fit() (encode, bundle, adaptive epochs, regen retrain
 /// cycles) at D = 10k. range(0) is the minibatch size; range(1) the
@@ -625,7 +639,8 @@ BENCHMARK(BM_CyberHdFitTrain)
     ->Args({16, 0})    // pinned 16-row tiles (the old hand-tuned value)
     ->Args({64, 0})    // wider tiles (multi-core sweet spot)
     ->Args({16, 128})  // minibatch + streamed encode→train
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -167,7 +167,7 @@ class ExecutionContext {
       const std::function<void(std::size_t, std::size_t)>& fn) const;
 
   /// Rows per L2-resident block of the tile-kernel scoring passes
-  /// (HdcModel::similarities_batch, the trainer's minibatch scoring): the
+  /// (HdcModel::similarities_into, the trainer's minibatch scoring): the
   /// largest power of two whose row block fills at most a third of L2 —
   /// one third each for the streaming rows, the class block, and slack —
   /// clamped to [1, 64]. At D = 10k on a 2 MiB L2 this derives the 16 rows

@@ -8,7 +8,7 @@
 // copyable. The referenced callable must outlive every call through the
 // FunctionRef — which a temporary lambda does for the duration of the
 // full-expression it is passed in, the only way the serving drivers use
-// it (EncodeCache::encode_entries invokes its miss callback before
+// it (EncodeCache::encode_entries_borrowed invokes its miss callback before
 // returning).
 #pragma once
 

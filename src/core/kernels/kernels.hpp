@@ -3,7 +3,7 @@
 // Every arithmetic hot path in the library — float dot products, the fused
 // RBF encode (dot + bias + cos), packed XOR/popcount similarity, and the
 // quantized int8 dot — funnels through one table of function pointers, the
-// Kernels struct. Two backends are provided:
+// Kernels struct. Three backends are provided:
 //
 //  * scalar — portable C++, the reference semantics. Identical loop
 //    structure to the pre-kernel code, so a scalar-selected build computes
@@ -25,6 +25,16 @@
 // it). The dispatch is independent of the CYBERHD_NATIVE build flag: a
 // portable -march=x86-64 binary still runs the AVX2/AVX-512 backends on
 // capable hardware.
+//
+// Scoring tiles: there is exactly one tile per element type — float
+// (similarities_tile_f32), int8 (similarities_tile_i8) and packed 1-bit
+// (hamming_tile_1b) — and each reads its query rows through a row-pointer
+// table. That table is the one handoff between encoding and scoring: the
+// serving path points it at borrowed encode-cache entries and freshly
+// encoded staging rows in any mix (in-batch duplicates make two entries
+// alias one row); contiguous callers (the trainer, the sign-projection
+// encoder, the contiguous model adapters) fill a trivial table through
+// ScoringWorkspace::row_table.
 //
 // Contracts shared by all backends:
 //  * integer kernels (xor_popcount_words, quantized_dot_i8, and the packed
@@ -62,16 +72,18 @@ struct Kernels {
 
   /// Blocked similarity tile: raw dot products of a tile of encoded rows
   /// against every class hypervector,
-  ///   out[r * num_classes + c] = dot(h + r * dims, classes + c * dims)
-  /// for r in [0, rows), c in [0, num_classes). `h` is a row-major
-  /// rows x dims tile, `classes` a row-major num_classes x dims block.
-  /// SIMD backends register-block over query rows so each class row is
-  /// loaded once per row block (class vectors stay cache-resident while the
-  /// tile streams), but every individual dot accumulates in exactly
-  /// dot_f32's order — each out entry is bit-identical to a per-pair
-  /// dot_f32 call on the same backend. This is the kernel behind
-  /// HdcModel::similarities_batch and the minibatch trainer.
-  void (*similarities_tile_f32)(const float* h, std::size_t rows,
+  ///   out[r * num_classes + c] = dot(h_rows[r], classes + c * dims)
+  /// for r in [0, rows), c in [0, num_classes). Query rows are read through
+  /// the pointer table `h_rows` (h_rows[r] points at row r's dims floats;
+  /// rows need not be contiguous, ordered or distinct), `classes` is a
+  /// row-major num_classes x dims block. SIMD backends register-block over
+  /// query rows so each class row is loaded once per row block (class
+  /// vectors stay cache-resident while the tile streams), but every
+  /// individual dot accumulates in exactly dot_f32's order — each out entry
+  /// is bit-identical to a per-pair dot_f32 call on the same backend. This
+  /// is the kernel behind HdcModel::similarities_into, the minibatch
+  /// trainer and the sign-projection encoder.
+  void (*similarities_tile_f32)(const float* const* h_rows, std::size_t rows,
                                 const float* classes, std::size_t num_classes,
                                 std::size_t dims, float* out);
 
@@ -113,62 +125,31 @@ struct Kernels {
 
   /// Blocked int8 similarity tile: raw integer dot products of a tile of
   /// quantized query rows against every quantized class row,
-  ///   out[r * num_classes + c] = sum_i h[r*dims + i] * classes[c*dims + i]
-  /// for r in [0, rows), c in [0, num_classes). Same register-blocking
-  /// contract as similarities_tile_f32 (SIMD backends amortize each class
-  /// load over a block of query rows), but exact-integer like
-  /// quantized_dot_i8: every backend must agree bit-for-bit with a
-  /// per-pair scalar dot. This is the stage-2 kernel of the packed
-  /// quantized serving pipeline (bits in {2, 4, 8}).
-  void (*similarities_tile_i8)(const std::int8_t* h, std::size_t rows,
-                               const std::int8_t* classes,
+  ///   out[r * num_classes + c] = sum_i h_rows[r][i] * classes[c*dims + i]
+  /// for r in [0, rows), c in [0, num_classes), rows read through a
+  /// pointer table as in similarities_tile_f32. Same register-blocking
+  /// contract (SIMD backends amortize each class load over a block of
+  /// query rows), but exact-integer like quantized_dot_i8: every backend
+  /// must agree bit-for-bit with a per-pair scalar dot. This is the
+  /// stage-2 kernel of the packed quantized serving pipeline (bits in
+  /// {2, 4, 8}).
+  void (*similarities_tile_i8)(const std::int8_t* const* h_rows,
+                               std::size_t rows, const std::int8_t* classes,
                                std::size_t num_classes, std::size_t dims,
                                std::int64_t* out);
 
   /// Packed-XOR/popcount Hamming tile over 64-bit words:
   ///   out[r * num_classes + c] =
-  ///       sum_w popcount(h[r*words + w] ^ classes[c*words + w])
-  /// for r in [0, rows), c in [0, num_classes). `h` is a row-major
-  /// rows x words tile of packed bipolar rows, `classes` a row-major
+  ///       sum_w popcount(h_rows[r][w] ^ classes[c*words + w])
+  /// for r in [0, rows), c in [0, num_classes). h_rows[r] points at row
+  /// r's `words` packed bipolar words, `classes` is a row-major
   /// num_classes x words block (bitpack.hpp's tail-masking invariant
   /// applies to both). Exact-integer: all backends agree bit-for-bit.
   /// This is the stage-2 kernel of the 1-bit packed serving pipeline.
-  void (*hamming_tile_1b)(const std::uint64_t* h, std::size_t rows,
-                          const std::uint64_t* classes,
+  void (*hamming_tile_1b)(const std::uint64_t* const* h_rows,
+                          std::size_t rows, const std::uint64_t* classes,
                           std::size_t num_classes, std::size_t words,
                           std::uint32_t* out);
-
-  // -- gather (indirect) tile variants ---------------------------------------
-  // The zero-copy serving path scores cache hits IN PLACE: instead of
-  // memcpying each hit row into a contiguous staging batch, stage 1 hands
-  // stage 2 a per-row pointer table (rows borrowed from the cache ring,
-  // miss rows from the staging block — any mix). The gather variants below
-  // read query rows through that table; each backend implements them with
-  // THE SAME register-blocked inner body as its contiguous sibling (only
-  // the row-pointer derivation differs), so every out entry is
-  // bit-identical to the contiguous kernel over the same row bytes — the
-  // float contract per backend, the exact-integer contract everywhere.
-
-  /// similarities_tile_f32 over a row-pointer table: h_rows[r] points at
-  /// row r's dims floats (rows need not be contiguous or ordered).
-  void (*similarities_tile_f32_gather)(const float* const* h_rows,
-                                       std::size_t rows, const float* classes,
-                                       std::size_t num_classes,
-                                       std::size_t dims, float* out);
-
-  /// similarities_tile_i8 over a row-pointer table.
-  void (*similarities_tile_i8_gather)(const std::int8_t* const* h_rows,
-                                      std::size_t rows,
-                                      const std::int8_t* classes,
-                                      std::size_t num_classes,
-                                      std::size_t dims, std::int64_t* out);
-
-  /// hamming_tile_1b over a row-pointer table.
-  void (*hamming_tile_1b_gather)(const std::uint64_t* const* h_rows,
-                                 std::size_t rows,
-                                 const std::uint64_t* classes,
-                                 std::size_t num_classes, std::size_t words,
-                                 std::uint32_t* out);
 };
 
 /// The portable reference backend. Always available.

@@ -61,12 +61,9 @@ CYBERHD_AVX2 float dot_f32_avx2(const float* a, const float* b,
 // one class row, so each class load is amortized across 4 dots. Every dot
 // keeps its own (acc0, acc1) pair and walks dims in exactly dot_f32_avx2's
 // order — the out entries are bit-identical to per-pair dot_f32 calls,
-// which is the contract HdcModel::similarities_batch relies on.
-//
-// The 4-row inner body is factored out over explicit row pointers so the
-// contiguous tile and its gather (row-pointer-table) variant share the
-// IDENTICAL instruction sequence — bit-identity between the two is by
-// construction, not by parallel maintenance.
+// which is the contract HdcModel::similarities_into relies on. The 4-row
+// body takes explicit row pointers: the tile reads them from its pointer
+// table, so a block's rows may live anywhere (or be one aliased row).
 CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -115,27 +112,11 @@ CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
   }
 }
 
-CYBERHD_AVX2 void similarities_tile_f32_avx2(const float* h, std::size_t rows,
+CYBERHD_AVX2 void similarities_tile_f32_avx2(const float* const* h_rows,
+                                             std::size_t rows,
                                              const float* classes,
                                              std::size_t num_classes,
                                              std::size_t dims, float* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_f32_block4_avx2(h + (r + 0) * dims, h + (r + 1) * dims,
-                             h + (r + 2) * dims, h + (r + 3) * dims, classes,
-                             num_classes, dims, out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_avx2(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-CYBERHD_AVX2 void similarities_tile_f32_gather_avx2(
-    const float* const* h_rows, std::size_t rows, const float* classes,
-    std::size_t num_classes, std::size_t dims, float* out) {
   std::size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
     sim_tile_f32_block4_avx2(h_rows[r + 0], h_rows[r + 1], h_rows[r + 2],
@@ -554,9 +535,8 @@ CYBERHD_AVX2 inline std::int64_t hsum_i64x4(__m256i acc64) {
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-// 4-row inner body over explicit row pointers, shared by the contiguous
-// tile and its gather variant (exact-integer contract: both are exact, so
-// the sharing is about code size, not numerics).
+// 4-row inner body over explicit row pointers (read from the tile's
+// pointer table).
 CYBERHD_AVX2 inline void sim_tile_i8_block4_avx2(
     const std::int8_t* h0, const std::int8_t* h1, const std::int8_t* h2,
     const std::int8_t* h3, const std::int8_t* classes,
@@ -616,30 +596,12 @@ CYBERHD_AVX2 inline void sim_tile_i8_block4_avx2(
   }
 }
 
-CYBERHD_AVX2 void similarities_tile_i8_avx2(const std::int8_t* h,
+CYBERHD_AVX2 void similarities_tile_i8_avx2(const std::int8_t* const* h_rows,
                                             std::size_t rows,
                                             const std::int8_t* classes,
                                             std::size_t num_classes,
                                             std::size_t dims,
                                             std::int64_t* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_i8_block4_avx2(h + (r + 0) * dims, h + (r + 1) * dims,
-                            h + (r + 2) * dims, h + (r + 3) * dims, classes,
-                            num_classes, dims, out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          quantized_dot_i8_avx2(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-CYBERHD_AVX2 void similarities_tile_i8_gather_avx2(
-    const std::int8_t* const* h_rows, std::size_t rows,
-    const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
-    std::int64_t* out) {
   std::size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
     sim_tile_i8_block4_avx2(h_rows[r + 0], h_rows[r + 1], h_rows[r + 2],
@@ -654,7 +616,7 @@ CYBERHD_AVX2 void similarities_tile_i8_gather_avx2(
   }
 }
 
-CYBERHD_AVX2 void hamming_tile_1b_avx2(const std::uint64_t* h,
+CYBERHD_AVX2 void hamming_tile_1b_avx2(const std::uint64_t* const* h_rows,
                                        std::size_t rows,
                                        const std::uint64_t* classes,
                                        std::size_t num_classes,
@@ -663,22 +625,6 @@ CYBERHD_AVX2 void hamming_tile_1b_avx2(const std::uint64_t* h,
   // Per-pair word scans through the nibble-LUT popcount: at serving widths
   // (D <= 16k -> words <= 256) a packed row block plus the class block fit
   // in L1, so the tile gains nothing from further register blocking.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_avx2(h + r * words, classes + c * words, words));
-    }
-  }
-}
-
-CYBERHD_AVX2 void hamming_tile_1b_gather_avx2(const std::uint64_t* const* h_rows,
-                                              std::size_t rows,
-                                              const std::uint64_t* classes,
-                                              std::size_t num_classes,
-                                              std::size_t words,
-                                              std::uint32_t* out) {
-  // Same per-pair structure as the contiguous tile with row r read through
-  // h_rows[r]; exact-integer, so trivially bit-identical.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] = static_cast<std::uint32_t>(
@@ -699,9 +645,6 @@ constexpr Kernels kAvx2Kernels = {
     .quantized_dot_i8 = quantized_dot_i8_avx2,
     .similarities_tile_i8 = similarities_tile_i8_avx2,
     .hamming_tile_1b = hamming_tile_1b_avx2,
-    .similarities_tile_f32_gather = similarities_tile_f32_gather_avx2,
-    .similarities_tile_i8_gather = similarities_tile_i8_gather_avx2,
-    .hamming_tile_1b_gather = hamming_tile_1b_gather_avx2,
 };
 
 }  // namespace

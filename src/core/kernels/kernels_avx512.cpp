@@ -94,11 +94,8 @@ CYBERHD_AVX512 void mul_acc_f32_avx512(const float* a, const float* b,
 // Register-blocked similarity tile, the AVX-512 sibling of the avx2
 // version: 4 query rows share each class-row load, and every dot keeps its
 // own (acc0, acc1) pair walking dims in dot_f32_avx512's exact order so
-// the per-pair bit-identity contract holds.
-//
-// As in the avx2 backend, the 4-row inner body is factored over explicit
-// row pointers so the contiguous tile and the gather (row-pointer-table)
-// variant share the identical instruction sequence.
+// the per-pair bit-identity contract holds. As in the avx2 backend, the
+// 4-row body takes explicit row pointers read from the tile's table.
 CYBERHD_AVX512 inline void sim_tile_f32_block4_avx512(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -148,24 +145,6 @@ CYBERHD_AVX512 inline void sim_tile_f32_block4_avx512(
 }
 
 CYBERHD_AVX512 void similarities_tile_f32_avx512(
-    const float* h, std::size_t rows, const float* classes,
-    std::size_t num_classes, std::size_t dims, float* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_f32_block4_avx512(h + (r + 0) * dims, h + (r + 1) * dims,
-                               h + (r + 2) * dims, h + (r + 3) * dims,
-                               classes, num_classes, dims,
-                               out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_avx512(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-CYBERHD_AVX512 void similarities_tile_f32_gather_avx512(
     const float* const* h_rows, std::size_t rows, const float* classes,
     std::size_t num_classes, std::size_t dims, float* out) {
   std::size_t r = 0;
@@ -201,23 +180,11 @@ CYBERHD_AVX512_POPCNT std::size_t xor_popcount_words_avx512(
 }
 
 CYBERHD_AVX512_POPCNT void hamming_tile_1b_avx512(
-    const std::uint64_t* h, std::size_t rows, const std::uint64_t* classes,
-    std::size_t num_classes, std::size_t words, std::uint32_t* out) {
-  // Per-pair vpopcntq word scans — same structure as the avx2 tile, with
-  // the hardware 64-bit popcount doing the counting.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_avx512(h + r * words, classes + c * words,
-                                    words));
-    }
-  }
-}
-
-CYBERHD_AVX512_POPCNT void hamming_tile_1b_gather_avx512(
     const std::uint64_t* const* h_rows, std::size_t rows,
     const std::uint64_t* classes, std::size_t num_classes, std::size_t words,
     std::uint32_t* out) {
+  // Per-pair vpopcntq word scans — same structure as the avx2 tile, with
+  // the hardware 64-bit popcount doing the counting.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] = static_cast<std::uint32_t>(
@@ -248,7 +215,7 @@ CYBERHD_AVX512 inline __m512i widen_add_i32_to_i64_512(__m512i acc64,
 // i32 before the i64 widening.
 // Per-row-block VNNI body over an explicit 4-entry row-pointer block
 // (tail blocks alias hr[0]; lanes beyond `block` compute values that go
-// unused). Shared by the contiguous tile and the gather variant.
+// unused).
 CYBERHD_AVX512_VNNI inline void sim_tile_i8_vnni_block4(
     const std::int8_t* const hr[4], std::size_t block,
     const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
@@ -324,20 +291,6 @@ CYBERHD_AVX512_VNNI inline void sim_tile_i8_vnni_block4(
 }
 
 CYBERHD_AVX512_VNNI void similarities_tile_i8_avx512vnni(
-    const std::int8_t* h, std::size_t rows, const std::int8_t* classes,
-    std::size_t num_classes, std::size_t dims, std::int64_t* out) {
-  for (std::size_t r0 = 0; r0 < rows; r0 += 4) {
-    const std::size_t block = std::min<std::size_t>(4, rows - r0);
-    const std::int8_t* hr[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      hr[k] = h + (r0 + (k < block ? k : 0)) * dims;
-    }
-    sim_tile_i8_vnni_block4(hr, block, classes, num_classes, dims,
-                            out + r0 * num_classes);
-  }
-}
-
-CYBERHD_AVX512_VNNI void similarities_tile_i8_gather_avx512vnni(
     const std::int8_t* const* h_rows, std::size_t rows,
     const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
     std::int64_t* out) {
@@ -367,15 +320,12 @@ const Kernels make_avx512_table() noexcept {
   k.axpy_f32 = axpy_f32_avx512;
   k.mul_acc_f32 = mul_acc_f32_avx512;
   k.similarities_tile_f32 = similarities_tile_f32_avx512;
-  k.similarities_tile_f32_gather = similarities_tile_f32_gather_avx512;
   if (cpu_supports_avx512_vpopcntdq()) {
     k.xor_popcount_words = xor_popcount_words_avx512;
     k.hamming_tile_1b = hamming_tile_1b_avx512;
-    k.hamming_tile_1b_gather = hamming_tile_1b_gather_avx512;
   }
   if (cpu_supports_avx512_vnni()) {
     k.similarities_tile_i8 = similarities_tile_i8_avx512vnni;
-    k.similarities_tile_i8_gather = similarities_tile_i8_gather_avx512vnni;
   }
   return k;
 }

@@ -34,8 +34,8 @@ void mul_acc_f32_scalar(const float* a, const float* b, float* acc,
   for (std::size_t i = 0; i < n; ++i) acc[i] += a[i] * b[i];
 }
 
-void similarities_tile_f32_scalar(const float* h, std::size_t rows,
-                                  const float* classes,
+void similarities_tile_f32_scalar(const float* const* h_rows,
+                                  std::size_t rows, const float* classes,
                                   std::size_t num_classes, std::size_t dims,
                                   float* out) {
   // Reference semantics: one dot per (row, class) pair, each in dot_f32's
@@ -44,7 +44,7 @@ void similarities_tile_f32_scalar(const float* h, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] =
-          dot_f32_scalar(h + r * dims, classes + c * dims, dims);
+          dot_f32_scalar(h_rows[r], classes + c * dims, dims);
     }
   }
 }
@@ -93,7 +93,8 @@ std::int64_t quantized_dot_i8_scalar(const std::int8_t* a,
   return s;
 }
 
-void similarities_tile_i8_scalar(const std::int8_t* h, std::size_t rows,
+void similarities_tile_i8_scalar(const std::int8_t* const* h_rows,
+                                 std::size_t rows,
                                  const std::int8_t* classes,
                                  std::size_t num_classes, std::size_t dims,
                                  std::int64_t* out) {
@@ -103,59 +104,15 @@ void similarities_tile_i8_scalar(const std::int8_t* h, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] =
-          quantized_dot_i8_scalar(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-void hamming_tile_1b_scalar(const std::uint64_t* h, std::size_t rows,
-                            const std::uint64_t* classes,
-                            std::size_t num_classes, std::size_t words,
-                            std::uint32_t* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_scalar(h + r * words, classes + c * words,
-                                    words));
-    }
-  }
-}
-
-// Gather (indirect) tile variants: identical per-pair loops, with row r
-// read through h_rows[r] instead of h + r * dims. Same dot per pair, so
-// each out entry is bit-identical to the contiguous kernel over the same
-// row bytes.
-void similarities_tile_f32_gather_scalar(const float* const* h_rows,
-                                         std::size_t rows,
-                                         const float* classes,
-                                         std::size_t num_classes,
-                                         std::size_t dims, float* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_scalar(h_rows[r], classes + c * dims, dims);
-    }
-  }
-}
-
-void similarities_tile_i8_gather_scalar(const std::int8_t* const* h_rows,
-                                        std::size_t rows,
-                                        const std::int8_t* classes,
-                                        std::size_t num_classes,
-                                        std::size_t dims, std::int64_t* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
           quantized_dot_i8_scalar(h_rows[r], classes + c * dims, dims);
     }
   }
 }
 
-void hamming_tile_1b_gather_scalar(const std::uint64_t* const* h_rows,
-                                   std::size_t rows,
-                                   const std::uint64_t* classes,
-                                   std::size_t num_classes,
-                                   std::size_t words, std::uint32_t* out) {
+void hamming_tile_1b_scalar(const std::uint64_t* const* h_rows,
+                            std::size_t rows, const std::uint64_t* classes,
+                            std::size_t num_classes, std::size_t words,
+                            std::uint32_t* out) {
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] = static_cast<std::uint32_t>(
@@ -176,9 +133,6 @@ constexpr Kernels kScalarKernels = {
     .quantized_dot_i8 = quantized_dot_i8_scalar,
     .similarities_tile_i8 = similarities_tile_i8_scalar,
     .hamming_tile_1b = hamming_tile_1b_scalar,
-    .similarities_tile_f32_gather = similarities_tile_f32_gather_scalar,
-    .similarities_tile_i8_gather = similarities_tile_i8_gather_scalar,
-    .hamming_tile_1b_gather = hamming_tile_1b_gather_scalar,
 };
 
 }  // namespace

@@ -233,39 +233,46 @@ EncodedBatch CyberHdClassifier::encode_block(const core::Matrix& x,
                                              std::size_t end,
                                              core::Matrix& storage) const {
   assert(encoder_ != nullptr && "encode_block() before fit()");
-  return encode_block_cached(*encoder_, encode_cache_.get(), x, begin, end,
-                             storage, exec());
+  // A thin materializer over the one stage-1 driver: misses encode
+  // straight into `storage`, then borrowed hits and in-batch replays are
+  // copied into their rows and the pins released.
+  const std::size_t m = end - begin;
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  encode_block_borrowed(*encoder_, encode_cache_.get(), x, begin, end,
+                        storage, ws, exec());
+  ws.materialize(reinterpret_cast<unsigned char*>(storage.data()), m,
+                 storage.cols() * sizeof(float));
+  return EncodedBatch::front_of(storage, m);
 }
 
 void CyberHdClassifier::scores_encoded(const EncodedBatch& h,
                                        core::Matrix& out) const {
-  model_.similarities_batch(h, out, exec());
+  out.resize(h.rows(), model_.num_classes());
+  if (h.rows() == 0) return;
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const EncodedRows rows(ScoringWorkspace::row_table(ws.f32_rows, h.data(),
+                                                     h.rows(), h.dims()),
+                         h.rows(), h.dims());
+  model_.similarities_into(rows, out.data(), exec());
 }
 
 void CyberHdClassifier::scores_block(const core::Matrix& x,
                                      std::size_t begin, std::size_t end,
                                      core::Matrix& out) const {
   assert(encoder_ != nullptr && "scores_batch() before fit()");
-  const std::size_t m = end - begin;
-  if (m == 0) return;
-  // The staging buffer is thread_local so the driver's block loop reuses
-  // one allocation per calling thread without breaking const-concurrency.
+  if (end == begin) return;
+  // Zero-copy serving: stage 1 PINS cache hits in the ring instead of
+  // memcpying them out and encodes only the misses (every row, cache off)
+  // into the staging buffer; stage 2 streams the resulting row view
+  // through the tile kernel. The staging buffer is thread_local so the
+  // driver's block loop reuses one allocation per calling thread without
+  // breaking const-concurrency.
   thread_local core::Matrix staging;
-  if (encode_cache_ != nullptr) {
-    // Zero-copy serving: stage 1 PINS cache hits in the ring instead of
-    // memcpying them out and encodes only the misses into staging; stage 2
-    // streams the resulting row-pointer view through the gather tile
-    // kernel — bit-identical to the contiguous path over the same rows.
-    ScoringWorkspace& ws = ScoringWorkspace::tl();
-    encode_cache_->encode_rows_borrowed(*encoder_, x, begin, end, staging,
-                                        ws, exec());
-    const EncodedRows rows(ws.f32_rows.data(), m, encoder_->output_dim());
-    model_.similarities_into(rows, out.row(begin).data(), exec());
-    ws.borrow.release();
-    return;
-  }
-  const EncodedBatch encoded = encode_block(x, begin, end, staging);
-  model_.similarities_into(encoded, out.row(begin).data(), exec());
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const EncodedRows rows = encode_block_borrowed(
+      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec());
+  model_.similarities_into(rows, out.row(begin).data(), exec());
+  ws.borrow.release();
 }
 
 void CyberHdClassifier::set_encode_cache(std::size_t capacity_rows,

@@ -138,11 +138,12 @@ class CyberHdClassifier final : public core::Classifier {
   // -- the stage-split serving pipeline --------------------------------------
   // scores_batch (the core::Classifier driver) walks `x` in sub-batches
   // the L3-aware planner sizes (preferred_batch_rows) and runs each
-  // through scores_block: stage 1 encodes the block — serving repeated
-  // rows from the content-addressed encode cache — and stage 2 streams
-  // the EncodedBatch view through the tile scorer while it is still
-  // L3-resident. Per-row results are bit-identical to predict()/scores()
-  // on that row, cache on or off; predict_batch rides the same driver.
+  // through scores_block: stage 1 (encode_block_borrowed) encodes the
+  // block — serving repeated rows in place from the content-addressed
+  // encode cache — and stage 2 streams the resulting row view through the
+  // tile scorer while it is still L3-resident. Per-row results are
+  // bit-identical to predict()/scores() on that row, cache on or off;
+  // predict_batch rides the same driver.
 
   /// Sub-batch size of the staged driver: the execution context's serving
   /// plan (per-L3-domain blocks of serving_block_rows).
@@ -152,16 +153,18 @@ class CyberHdClassifier final : public core::Classifier {
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
 
-  /// Stage 1 alone: encode rows [begin, end) of `x` into the front of
-  /// `storage` (grown to (end - begin) x D when too small, otherwise
-  /// reused as-is), serving repeats from the encode cache when one is
-  /// enabled. Returns the handoff view over the filled rows. Valid after
-  /// fit().
+  /// Stage 1 into contiguous rows: encode rows [begin, end) of `x` into
+  /// the front of `storage` (grown to (end - begin) x D when too small,
+  /// otherwise reused as-is). Runs the serving stage-1 driver, then copies
+  /// cache hits and in-batch replays into their rows — the serving path
+  /// itself never makes this copy. Returns the view over the filled rows.
+  /// Valid after fit().
   EncodedBatch encode_block(const core::Matrix& x, std::size_t begin,
                             std::size_t end, core::Matrix& storage) const;
 
-  /// Stage 2 alone: cosine scores of an already-encoded view; `out` is
-  /// resized to h.rows() x num_classes().
+  /// Stage 2 alone: cosine scores of an already-encoded contiguous view
+  /// (scored through a trivial row table); `out` is resized to
+  /// h.rows() x num_classes().
   void scores_encoded(const EncodedBatch& h, core::Matrix& out) const;
 
   /// Resize the serving encode cache: `capacity_rows` rows of raw +

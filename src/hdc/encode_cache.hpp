@@ -65,10 +65,12 @@ struct EncodeCacheStats {
   /// Bytes the ring can hold (capacity x entry bytes).
   std::uint64_t bytes_capacity = 0;
   /// Rows served zero-copy: hits handed out as borrowed (pinned) pointers
-  /// into the ring instead of being memcpy'd into the staging batch.
+  /// into the ring.
   std::uint64_t borrowed_rows = 0;
-  /// Bytes memcpy'd to serve hits and in-batch replays through the
-  /// copy-mode drivers — the traffic the borrow mode eliminates.
+  /// Bytes the cache memcpy'd to serve hits. Always 0: the cache never
+  /// copies a hit (hits and in-batch replays are handed out as pointers),
+  /// and callers that need contiguous rows copy them themselves. Kept
+  /// because the benchmark reports and serving_concurrent.csv read it.
   std::uint64_t copied_bytes = 0;
   double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
@@ -143,61 +145,34 @@ class EncodeCache {
   /// The shard a hash routes to (exposed so tests can steer rows).
   std::size_t shard_of(std::uint64_t hash) const noexcept;
 
-  /// The float stage-1 driver: fill rows [0, end - begin) of `h` with the
-  /// encodings of rows [begin, end) of `x` — hits copied out of their
-  /// shard's ring, misses gathered into one contiguous block and batched
-  /// through `encoder.encode_tile` (split across the context's pool),
-  /// then inserted. `h` must already be sized to at least
-  /// (end - begin) x encoded_dim. Returns the number of hits (including
-  /// in-batch replays). Safe to call concurrently from any number of
-  /// threads. Only valid for float-armed caches (entry_bytes ==
-  /// encoded_dim * 4); a thin wrapper over encode_entries.
-  std::size_t encode_rows(const Encoder& encoder, const core::Matrix& x,
-                          std::size_t begin, std::size_t end,
-                          core::Matrix& h,
-                          const core::ExecutionContext& exec);
-
-  /// The batched miss-encode callback of the entry drivers. A non-owning
-  /// FunctionRef (not std::function): the drivers invoke it before
+  /// The batched miss-encode callback of the stage-1 driver. A non-owning
+  /// FunctionRef (not std::function): the driver invokes it before
   /// returning, and erasing by reference keeps the call allocation-free —
   /// a capturing lambda passed as a temporary never hits the heap.
   using EncodeMissesFn = core::FunctionRef<void(
       std::span<const std::size_t>, unsigned char*, std::size_t)>;
 
-  /// The generic stage-1 driver the float and packed pipelines share:
-  /// fill entries [0, end - begin) of `out` (entry i at
-  /// out + i * out_stride, entry_bytes() bytes each; out_stride >=
-  /// entry_bytes()) with the cached encodings of rows [begin, end) of `x`.
-  /// Hits are byte-copied out of their shard's ring; misses are handed to
-  /// `encode_misses` in ONE batched call — `encode_misses(rows, out,
-  /// out_stride)` must write, for every batch-row index i in `rows`,
-  /// exactly entry_bytes() bytes of the encoding of batch row i
-  /// (x.row(begin + i)) to out + i * out_stride, deterministically. The
-  /// callback owns its own gather/tile/parallelism (the tile encoders
-  /// batch the whole miss list into GEMM-shaped kernel calls instead of
-  /// per-row encodes); it runs outside every shard lock. Fresh entries
-  /// are then inserted, and in-batch duplicates replay the first
-  /// occurrence's fresh entry. Returns the number of hits (including
-  /// in-batch replays). Safe to call concurrently from any number of
-  /// threads.
-  std::size_t encode_entries(const core::Matrix& x, std::size_t begin,
-                             std::size_t end, unsigned char* out,
-                             std::size_t out_stride,
-                             EncodeMissesFn encode_misses,
-                             const core::ExecutionContext& exec);
-
-  /// Zero-copy sibling of encode_entries: instead of memcpying hit entries
-  /// into `staging`, each hit's ring slot is PINNED (eviction skips it)
-  /// and ws.entry_ptrs[i] is set to the entry's stable address inside the
-  /// ring; miss rows are encoded into `staging` exactly as in copy mode
-  /// and their staging address recorded, and in-batch duplicates alias
-  /// their first occurrence's pointer. The pins land in ws.borrow, which
-  /// the caller MUST release (or let unwind) after stage 2 has consumed
-  /// the rows — until then the pinned slots cannot be evicted, so the
-  /// pointers stay valid across concurrent inserts. `staging` must still
-  /// cover all m rows (misses land at their batch offset). Returns the
-  /// number of hits. Safe to call concurrently; ws is the caller's
-  /// (typically thread-local) scratch.
+  /// The stage-1 driver the float and packed pipelines share: point
+  /// ws.entry_ptrs[i] at the cached encoding of row begin + i of `x`
+  /// (entry_bytes() bytes each), for i in [0, end - begin). Each hit's
+  /// ring slot is PINNED (eviction skips it) and its entry pointer is the
+  /// slot's stable address inside the ring — no hit byte is copied.
+  /// Misses are handed to `encode_misses` in ONE batched call —
+  /// `encode_misses(rows, staging, out_stride)` must write, for every
+  /// batch-row index i in `rows`, exactly entry_bytes() bytes of the
+  /// encoding of batch row i (x.row(begin + i)) to staging + i *
+  /// out_stride, deterministically — and their entry pointers point at
+  /// those staging rows. The callback owns its own
+  /// gather/tile/parallelism (the tile encoders batch the whole miss list
+  /// into GEMM-shaped kernel calls) and runs outside every shard lock.
+  /// Fresh entries are then inserted; in-batch duplicates alias their
+  /// first occurrence's pointer. `staging` must cover all end - begin
+  /// rows at `out_stride` >= entry_bytes(). The pins land in ws.borrow,
+  /// which the caller MUST release (or let unwind) after stage 2 has
+  /// consumed the rows — until then the pinned slots cannot be evicted,
+  /// so the pointers stay valid across concurrent inserts. Returns the
+  /// number of hits (including in-batch replays). Safe to call
+  /// concurrently; ws is the caller's (typically thread-local) scratch.
   std::size_t encode_entries_borrowed(const core::Matrix& x,
                                       std::size_t begin, std::size_t end,
                                       unsigned char* staging,
@@ -206,10 +181,12 @@ class EncodeCache {
                                       ScoringWorkspace& ws,
                                       const core::ExecutionContext& exec);
 
-  /// Borrow-mode float driver: encode_entries_borrowed plus the float
-  /// miss-encode callback, leaving ws.f32_rows[i] pointing at row i's
-  /// encoding (ring or staging) for the gather scoring kernels. Only valid
-  /// for float-armed caches. Returns the number of hits.
+  /// The float form of the driver: encode_entries_borrowed with the float
+  /// miss-encode callback (misses batched through encoder.encode_tile
+  /// into `staging`, grown to (end - begin) x encoded_dim when too small),
+  /// leaving ws.f32_rows[i] pointing at row i's encoding (ring or staging)
+  /// for the scoring tile. Only valid for float-armed caches. Returns the
+  /// number of hits.
   std::size_t encode_rows_borrowed(const Encoder& encoder,
                                    const core::Matrix& x, std::size_t begin,
                                    std::size_t end, core::Matrix& staging,
@@ -242,17 +219,6 @@ class EncodeCache {
     EncodeCacheStats stats;
   };
 
-  /// The shared body of the copy- and borrow-mode entry drivers:
-  /// entry_ptrs == nullptr selects copy mode (hits memcpy'd to out);
-  /// otherwise hits are pinned into `guard` and entry_ptrs[i] records
-  /// where row i's entry lives. All per-call scratch lives in `ws`.
-  std::size_t encode_entries_impl(const core::Matrix& x, std::size_t begin,
-                                  std::size_t end, unsigned char* out,
-                                  std::size_t out_stride,
-                                  EncodeMissesFn encode_misses,
-                                  const unsigned char** entry_ptrs,
-                                  BorrowGuard* guard, ScoringWorkspace& ws);
-
   /// Slot index of the verified-resident row, or shard.capacity when
   /// absent. Caller holds shard.mutex.
   std::size_t find_slot(const Shard& shard, std::uint64_t hash,
@@ -284,14 +250,18 @@ class EncodeCache {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// The stage-1 driver shared by the float and quantized serving
-/// pipelines: fill rows [0, end - begin) of `storage` (resized when too
-/// small) with the encodings of rows [begin, end) of `x` — through
-/// `cache` when one is supplied, with a plain pool-parallel encode
-/// otherwise. Returns the EncodedBatch handoff view over the filled rows.
-EncodedBatch encode_block_cached(const Encoder& encoder, EncodeCache* cache,
-                                 const core::Matrix& x, std::size_t begin,
-                                 std::size_t end, core::Matrix& storage,
-                                 const core::ExecutionContext& exec);
+/// The float stage-1 function of both classifiers (the float pipeline and
+/// the quantized snapshot's bits 16/32 path): encode rows [begin, end) of
+/// `x` and return a row view over them, cache on or off. With `cache` the
+/// rows come from encode_rows_borrowed (hits pinned in ws.borrow); without
+/// one the block is a single pool-parallel encode_tile into `staging`
+/// (grown to (end - begin) x D when too small) and nothing is pinned.
+/// Either way ws.entry_ptrs and ws.f32_rows describe the rows, and the
+/// caller releases ws.borrow once the view has been consumed.
+EncodedRows encode_block_borrowed(const Encoder& encoder, EncodeCache* cache,
+                                  const core::Matrix& x, std::size_t begin,
+                                  std::size_t end, core::Matrix& staging,
+                                  ScoringWorkspace& ws,
+                                  const core::ExecutionContext& exec);
 
 }  // namespace cyberhd::hdc

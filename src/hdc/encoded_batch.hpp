@@ -1,14 +1,16 @@
-// EncodedBatch — the view type the stage-split serving pipeline hands
-// between its two stages.
+// The view types of the stage-split serving pipeline.
 //
-// Stage 1 (Encoder::encode_batch, or the encode cache on its behalf) fills
-// a caller-owned row-major buffer and returns an EncodedBatch over it;
-// stage 2 (HdcModel::similarities_batch / the quantized scorer) consumes
-// the view without caring whether the rows came from a fresh encode, a
-// cache hit, or a slice of a larger staging buffer. Keeping the handoff a
-// non-owning view is what lets the batch planner cut one logical batch
-// into L3-resident sub-batches without copies, and lets callers reuse one
-// staging buffer across pipeline iterations.
+// The handoff between stage 1 (the encode cache driver, or a plain tile
+// encode when the cache is off) and stage 2 (HdcModel::similarities_into /
+// QuantizedHdcModel::similarities_packed) is a ROW VIEW: EncodedRows for
+// float rows, PackedRows for quantized ones — a pointer per row, so cache
+// hits are scored in place in the ring, next to freshly encoded staging
+// rows. The contiguous views (EncodedBatch, PackedBatch) remain for callers
+// that want rows back-to-back (encode_block / encode_block_packed and their
+// scores_encoded counterparts); they are scored through a trivial row
+// table. All views are non-owning, which lets the batch planner cut one
+// logical batch into L3-resident sub-batches without copies and lets
+// callers reuse one staging buffer across pipeline iterations.
 #pragma once
 
 #include <cassert>
@@ -22,9 +24,8 @@
 namespace cyberhd::hdc {
 
 /// Non-owning view of `rows` encoded hypervectors laid out row-major and
-/// contiguously (`dims` floats per row, no inter-row padding) — the
-/// contract the tile-scoring kernels need. Cheap to copy; never outlives
-/// the buffer it views.
+/// contiguously (`dims` floats per row, no inter-row padding). Cheap to
+/// copy; never outlives the buffer it views.
 class EncodedBatch {
  public:
   EncodedBatch() = default;
@@ -69,8 +70,8 @@ class EncodedBatch {
 };
 
 /// Non-owning view of `rows` QUANTIZED hypervectors — the packed sibling of
-/// EncodedBatch the quantized serving pipeline hands between its stages.
-/// Rows are laid out contiguously at row_bytes(dims, bits) bytes each:
+/// EncodedBatch (what encode_block_packed returns). Rows are laid out
+/// contiguously at row_bytes(dims, bits) bytes each:
 ///
 ///   bits in {2, 4, 8} — dims int8 levels per row (one byte per dimension;
 ///     levels at <= 8 bits fit int8 exactly, and the int8 layout is what
@@ -135,12 +136,12 @@ class PackedBatch {
 
 /// Non-owning INDIRECT view of `n` encoded hypervectors: row r lives at
 /// rows[r], an arbitrary address (a borrowed cache-ring entry, a staging
-/// row — any mix). The zero-copy serving path builds one of these instead
-/// of memcpying cache hits into a contiguous EncodedBatch; stage 2 scores
-/// it through the gather tile kernels, whose outputs are bit-identical to
-/// the contiguous kernels over the same row bytes. Cheap to copy; neither
-/// the pointer table nor the rows it names may outlive their owners (the
-/// ScoringWorkspace and its BorrowGuard hold both for exactly one flush).
+/// row — any mix; two entries may alias one row). Stage 1 builds one of
+/// these instead of memcpying cache hits into a contiguous batch, and
+/// stage 2 scores it through the row-pointer tile kernels. Cheap to copy;
+/// neither the pointer table nor the rows it names may outlive their
+/// owners (the ScoringWorkspace and its BorrowGuard hold both for exactly
+/// one flush).
 class EncodedRows {
  public:
   EncodedRows() = default;
@@ -152,7 +153,7 @@ class EncodedRows {
   std::size_t rows() const noexcept { return n_; }
   std::size_t dims() const noexcept { return dims_; }
   bool empty() const noexcept { return n_ == 0; }
-  /// The row-pointer table the gather kernels consume.
+  /// The row-pointer table the tile kernels consume.
   const float* const* row_ptrs() const noexcept { return rows_; }
 
   std::span<const float> row(std::size_t r) const noexcept {
@@ -169,7 +170,7 @@ class EncodedRows {
 /// Indirect sibling of PackedBatch: a typed row-pointer table over packed
 /// quantized rows. Exactly one of the two tables is populated — int8 rows
 /// for bits in {2, 4, 8}, packed 64-bit word rows for bits == 1 — matching
-/// the two gather tile kernels.
+/// the int8 and 1-bit tile kernels.
 class PackedRows {
  public:
   PackedRows() = default;

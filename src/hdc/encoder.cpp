@@ -9,6 +9,7 @@
 
 #include "core/io.hpp"
 #include "core/kernels/kernels.hpp"
+#include "hdc/scoring_workspace.hpp"
 
 namespace cyberhd::hdc {
 
@@ -217,14 +218,17 @@ void SignProjectionEncoder::encode_tile_block(
   const core::Kernels& k = exec.kernels();
   // The similarity tile already computes exactly the dots this encoder
   // signs (flows as query rows, a base panel as the class block), with
-  // per-pair values bit-identical to encode()'s dot_f32 calls. The sign
-  // epilogue scatters the pr-stride panel into the out rows.
+  // per-pair values bit-identical to encode()'s dot_f32 calls. The flows
+  // are contiguous, so a trivial row table in this thread's reused scratch
+  // feeds the kernel. The sign epilogue scatters the pr-stride panel into
+  // the out rows.
+  const float* const* flows = ScoringWorkspace::row_table(
+      ScoringWorkspace::tl().tile_f32_rows, x.row(begin).data(), m, features);
   std::vector<float> dots(m * std::min<std::size_t>(plan.panel_rows, dims));
   for (std::size_t p = 0; p < dims; p += plan.panel_rows) {
     const std::size_t pr = std::min(plan.panel_rows, dims - p);
-    k.similarities_tile_f32(x.row(begin).data(), m,
-                            bases_.data() + p * features, pr, features,
-                            dots.data());
+    k.similarities_tile_f32(flows, m, bases_.data() + p * features, pr,
+                            features, dots.data());
     for (std::size_t i = 0; i < m; ++i) {
       float* dst = out + i * out_stride + p;
       const float* src = dots.data() + i * pr;

@@ -72,9 +72,8 @@ class Encoder {
 
   /// Encode every row of X into the matching row of H (resized to
   /// X.rows() x output_dim()). The sample range splits across the
-  /// context's pool when it has one. Returns the stage-1 handoff view over
-  /// H that the scoring stage (HdcModel::similarities_batch, the quantized
-  /// scorer) consumes. Rides encode_tile().
+  /// context's pool when it has one. Returns the contiguous view over H.
+  /// Rides encode_tile().
   EncodedBatch encode_batch(const core::Matrix& x, core::Matrix& h,
                             const core::ExecutionContext& exec =
                                 core::ExecutionContext::serial()) const;

@@ -32,21 +32,7 @@ void HdcModel::similarities(std::span<const float> h,
   }
 }
 
-void HdcModel::similarities_batch(const core::Matrix& h,
-                                  core::Matrix& scores,
-                                  const core::ExecutionContext& exec) const {
-  similarities_batch(EncodedBatch::of(h), scores, exec);
-}
-
-void HdcModel::similarities_batch(const EncodedBatch& h,
-                                  core::Matrix& scores,
-                                  const core::ExecutionContext& exec) const {
-  scores.resize(h.rows(), num_classes());
-  if (h.rows() == 0) return;
-  similarities_into(h, scores.data(), exec);
-}
-
-void HdcModel::similarities_into(const EncodedBatch& h, float* out,
+void HdcModel::similarities_into(const EncodedRows& h, float* out,
                                  const core::ExecutionContext& exec) const {
   assert(h.dims() == dims());
   if (h.rows() == 0) return;
@@ -70,11 +56,12 @@ void HdcModel::similarities_into(const EncodedBatch& h, float* out,
   // on the raw dots reproduces similarities() bit-for-bit.
   const std::size_t tile_rows = exec.score_block_rows(D);
   const core::Kernels& k = exec.kernels();
+  const float* const* rows_tbl = h.row_ptrs();
   const auto body = [&](std::size_t begin, std::size_t end) {
     for (std::size_t t = begin; t < end; t += tile_rows) {
       const std::size_t rows = std::min(tile_rows, end - t);
       float* block = out + t * C;
-      k.similarities_tile_f32(h.row(t).data(), rows, classes_.data(), C, D,
+      k.similarities_tile_f32(rows_tbl + t, rows, classes_.data(), C, D,
                               block);
       for (std::size_t r = 0; r < rows; ++r) {
         const float hn = core::norm2(h.row(t + r));
@@ -88,40 +75,16 @@ void HdcModel::similarities_into(const EncodedBatch& h, float* out,
   exec.parallel_for(h.rows(), body, /*grain=*/32);
 }
 
-void HdcModel::similarities_into(const EncodedRows& h, float* out,
-                                 const core::ExecutionContext& exec) const {
-  assert(h.dims() == dims());
+void HdcModel::similarities_batch(const core::Matrix& h,
+                                  core::Matrix& scores,
+                                  const core::ExecutionContext& exec) const {
+  scores.resize(h.rows(), num_classes());
   if (h.rows() == 0) return;
-  const std::size_t C = num_classes();
-  const std::size_t D = dims();
-  std::vector<float>& class_norms = ScoringWorkspace::tl().class_norms;
-  class_norms.resize(C);
-  for (std::size_t c = 0; c < C; ++c) {
-    class_norms[c] = core::norm2(classes_.row(c));
-  }
-  // Mirror of the contiguous overload with the gather tile kernel reading
-  // rows through the pointer table; per-row norms read through the same
-  // table, so every output entry is bit-identical to the contiguous path
-  // over the same row bytes.
-  const std::size_t tile_rows = exec.score_block_rows(D);
-  const core::Kernels& k = exec.kernels();
-  const float* const* rows_tbl = h.row_ptrs();
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; t += tile_rows) {
-      const std::size_t rows = std::min(tile_rows, end - t);
-      float* block = out + t * C;
-      k.similarities_tile_f32_gather(rows_tbl + t, rows, classes_.data(), C,
-                                     D, block);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float hn = core::norm2(h.row(t + r));
-        for (std::size_t c = 0; c < C; ++c) {
-          float& s = block[r * C + c];
-          s = cosine_from_dot(s, hn, class_norms[c]);
-        }
-      }
-    }
-  };
-  exec.parallel_for(h.rows(), body, /*grain=*/32);
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const EncodedRows rows(
+      ScoringWorkspace::row_table(ws.f32_rows, h.data(), h.rows(), h.cols()),
+      h.rows(), h.cols());
+  similarities_into(rows, scores.data(), exec);
 }
 
 std::size_t HdcModel::predict_encoded(

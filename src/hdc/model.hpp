@@ -59,41 +59,27 @@ class HdcModel {
   void similarities(std::span<const float> h,
                     std::span<float> scores) const noexcept;
 
-  /// Row-wise similarities of a whole encoded batch: `scores` is resized to
-  /// h.rows() x num_classes(). Class norms are computed once, rows stream
-  /// through the register-blocked similarities_tile_f32 kernel in
-  /// cache-derived chunks (ExecutionContext::score_block_rows; class
-  /// vectors stay resident), and the sample range splits across the
+  /// The batch scorer: cosine similarities of every row of a row view
+  /// (rows borrowed from the encode cache ring, staging rows, a trivial
+  /// table over a contiguous matrix — any mix), writing h.rows() x
+  /// num_classes() floats row-major at `out`. Class norms are computed
+  /// once, rows stream through the register-blocked similarities_tile_f32
+  /// kernel in cache-derived chunks (ExecutionContext::score_block_rows;
+  /// class vectors stay resident), and the sample range splits across the
   /// context's pool. Each output row is bit-identical to a similarities()
-  /// call on that row, for any tile split or thread count.
-  void similarities_batch(const core::Matrix& h, core::Matrix& scores,
-                          const core::ExecutionContext& exec =
-                              core::ExecutionContext::serial()) const;
-
-  /// Stage-2 entry of the serving pipeline: the same scoring over an
-  /// EncodedBatch view (however its rows were produced — fresh encode,
-  /// cache replay, or a planner sub-slice).
-  void similarities_batch(const EncodedBatch& h, core::Matrix& scores,
-                          const core::ExecutionContext& exec =
-                              core::ExecutionContext::serial()) const;
-
-  /// Scoring into caller-owned storage: writes h.rows() x num_classes()
-  /// floats row-major at `out`. This is what lets the staged scores_batch
-  /// drivers score one sub-batch directly into its row range of the full
-  /// output matrix, with no per-sub-batch resize or copy.
-  void similarities_into(const EncodedBatch& h, float* out,
-                         const core::ExecutionContext& exec =
-                             core::ExecutionContext::serial()) const;
-
-  /// Zero-copy stage-2 entry: the same scoring over an INDIRECT row view
-  /// (rows borrowed from the encode cache ring, staging rows, any mix),
-  /// streamed through the gather tile kernel. Bit-identical to the
-  /// contiguous overload over the same row bytes — the gather kernels
-  /// share the contiguous kernels' register-blocked inner body per
-  /// backend.
+  /// call on that row, for any tile split or thread count. Writing into
+  /// caller-owned storage is what lets the staged scores_batch drivers
+  /// score one sub-batch directly into its row range of the full output.
   void similarities_into(const EncodedRows& h, float* out,
                          const core::ExecutionContext& exec =
                              core::ExecutionContext::serial()) const;
+
+  /// Contiguous adapter of similarities_into: scores every row of the
+  /// matrix `h` through a trivial row table; `scores` is resized to
+  /// h.rows() x num_classes().
+  void similarities_batch(const core::Matrix& h, core::Matrix& scores,
+                          const core::ExecutionContext& exec =
+                              core::ExecutionContext::serial()) const;
 
   /// argmax-of-cosine classification of an encoded query.
   std::size_t predict_encoded(std::span<const float> h) const noexcept;

@@ -129,7 +129,7 @@ void QuantizedHdcModel::pack_row(std::span<const float> h,
 }
 
 void QuantizedHdcModel::similarities_packed(
-    const PackedBatch& h, float* out,
+    const PackedRows& h, float* out,
     const core::ExecutionContext& exec) const {
   assert(bits_ <= 8);
   assert(h.bits() == bits_);
@@ -144,6 +144,7 @@ void QuantizedHdcModel::similarities_packed(
     // editors must resync(), like level_classes() editors always had to).
     const std::size_t words = h.words();
     assert(classes_1b_.size() == classes * words);
+    const std::uint64_t* const* rows_tbl = h.word_row_ptrs();
     exec.parallel_for(
         h.rows(),
         [&](std::size_t begin, std::size_t end) {
@@ -155,92 +156,13 @@ void QuantizedHdcModel::similarities_packed(
           }
           for (std::size_t t = begin; t < end; t += tile_rows) {
             const std::size_t rows = std::min(tile_rows, end - t);
-            k.hamming_tile_1b(h.word_row(t), rows, classes_1b_.data(),
+            k.hamming_tile_1b(rows_tbl + t, rows, classes_1b_.data(),
                               classes, words, ham.data());
             for (std::size_t r = 0; r < rows; ++r) {
               float* dst = out + (t + r) * classes;
               for (std::size_t c = 0; c < classes; ++c) {
                 // Exactly cosine_bipolar(): dot = D - 2 * hamming, exact
                 // in int64, divided by D in float.
-                const std::int64_t dot =
-                    static_cast<std::int64_t>(dims_) -
-                    2 * static_cast<std::int64_t>(ham[r * classes + c]);
-                dst[c] =
-                    static_cast<float>(dot) / static_cast<float>(dims_);
-              }
-            }
-          }
-        },
-        /*grain=*/32);
-    return;
-  }
-  exec.parallel_for(
-      h.rows(),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::int64_t>& dots = ScoringWorkspace::tl().dot_tile;
-        if (dots.size() < tile_rows * classes) {
-          dots.resize(tile_rows * classes);
-        }
-        for (std::size_t t = begin; t < end; t += tile_rows) {
-          const std::size_t rows = std::min(tile_rows, end - t);
-          k.similarities_tile_i8(h.i8_row(t), rows, classes_i8_.data(),
-                                 classes, dims_, dots.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            // The query's sum of squared levels is an exact integer
-            // (<= D * 127^2, far inside double's mantissa), recomputed
-            // from the packed row itself — the same value similarities()
-            // accumulates on the float detour, in any summation order.
-            const double qn = static_cast<double>(k.quantized_dot_i8(
-                h.i8_row(t + r), h.i8_row(t + r), dims_));
-            float* dst = out + (t + r) * classes;
-            for (std::size_t c = 0; c < classes; ++c) {
-              if (qn == 0.0 || level_sumsq_[c] == 0.0) {
-                dst[c] = 0.0f;
-                continue;
-              }
-              const double dot =
-                  static_cast<double>(dots[r * classes + c]);
-              dst[c] = static_cast<float>(
-                  dot / (std::sqrt(qn) * std::sqrt(level_sumsq_[c])));
-            }
-          }
-        }
-      },
-      /*grain=*/32);
-}
-
-void QuantizedHdcModel::similarities_packed(
-    const PackedRows& h, float* out,
-    const core::ExecutionContext& exec) const {
-  assert(bits_ <= 8);
-  assert(h.bits() == bits_);
-  assert(h.dims() == dims_);
-  const std::size_t classes = num_classes();
-  if (h.rows() == 0 || classes == 0) return;
-  const core::Kernels& k = exec.kernels();
-  const std::size_t tile_rows = exec.score_block_rows(dims_);
-  // Mirror of the contiguous overload with the gather tile kernels reading
-  // rows through the pointer table; the query-norm dots read through the
-  // same table, so every score is bit-identical to the contiguous path
-  // over the same row bytes.
-  if (bits_ == 1) {
-    const std::size_t words = h.words();
-    assert(classes_1b_.size() == classes * words);
-    const std::uint64_t* const* rows_tbl = h.word_row_ptrs();
-    exec.parallel_for(
-        h.rows(),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<std::uint32_t>& ham = ScoringWorkspace::tl().ham_tile;
-          if (ham.size() < tile_rows * classes) {
-            ham.resize(tile_rows * classes);
-          }
-          for (std::size_t t = begin; t < end; t += tile_rows) {
-            const std::size_t rows = std::min(tile_rows, end - t);
-            k.hamming_tile_1b_gather(rows_tbl + t, rows, classes_1b_.data(),
-                                     classes, words, ham.data());
-            for (std::size_t r = 0; r < rows; ++r) {
-              float* dst = out + (t + r) * classes;
-              for (std::size_t c = 0; c < classes; ++c) {
                 const std::int64_t dot =
                     static_cast<std::int64_t>(dims_) -
                     2 * static_cast<std::int64_t>(ham[r * classes + c]);
@@ -263,10 +185,13 @@ void QuantizedHdcModel::similarities_packed(
         }
         for (std::size_t t = begin; t < end; t += tile_rows) {
           const std::size_t rows = std::min(tile_rows, end - t);
-          k.similarities_tile_i8_gather(rows_tbl + t, rows,
-                                        classes_i8_.data(), classes, dims_,
-                                        dots.data());
+          k.similarities_tile_i8(rows_tbl + t, rows, classes_i8_.data(),
+                                 classes, dims_, dots.data());
           for (std::size_t r = 0; r < rows; ++r) {
+            // The query's sum of squared levels is an exact integer
+            // (<= D * 127^2, far inside double's mantissa), recomputed
+            // from the packed row itself — the same value similarities()
+            // accumulates on the float detour, in any summation order.
             const double qn = static_cast<double>(k.quantized_dot_i8(
                 rows_tbl[t + r], rows_tbl[t + r], dims_));
             float* dst = out + (t + r) * classes;
@@ -341,20 +266,6 @@ std::size_t QuantizedCyberHd::preferred_batch_rows(
   return exec_.plan_serving(model_.dims()).batch_rows;
 }
 
-void QuantizedCyberHd::scores_encoded(const EncodedBatch& h,
-                                      core::Matrix& out) const {
-  assert(h.dims() == model_.dims());
-  out.resize(h.rows(), model_.num_classes());
-  exec_.parallel_for(
-      h.rows(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          model_.similarities(h.row(i), out.row(i));
-        }
-      },
-      /*grain=*/32);
-}
-
 void QuantizedCyberHd::encode_tile_packed(const core::Matrix& x,
                                           std::size_t begin, std::size_t end,
                                           unsigned char* dst,
@@ -424,24 +335,16 @@ void QuantizedCyberHd::encode_packed_misses(const core::Matrix& x,
 PackedBatch QuantizedCyberHd::encode_block_packed(
     const core::Matrix& x, std::size_t begin, std::size_t end,
     PackedStaging& staging) const {
-  assert(model_.bits() <= 8);
+  // A thin materializer over the one stage-1 driver: misses pack straight
+  // into `staging`, then borrowed hits and in-batch replays are copied
+  // into their rows and the pins released.
   const std::size_t m = end - begin;
   const std::size_t dims = model_.dims();
   const int bits = model_.bits();
-  unsigned char* out = staging.prepare(m, dims, bits);
-  const std::size_t row_bytes = model_.packed_row_bytes();
-  if (encode_cache_ != nullptr) {
-    ScoringWorkspace& ws = ScoringWorkspace::tl();
-    encode_cache_->encode_entries(
-        x, begin, end, out, row_bytes,
-        [&](std::span<const std::size_t> rows, unsigned char* o,
-            std::size_t o_stride) {
-          encode_packed_misses(x, begin, rows, o, o_stride, ws);
-        },
-        exec_);
-  } else {
-    encode_tile_packed(x, begin, end, out, row_bytes);
-  }
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  encode_block_packed_borrowed(x, begin, end, staging, ws);
+  ws.materialize(staging.prepare(m, dims, bits), m,
+                 model_.packed_row_bytes());
   return staging.view(m, dims, bits);
 }
 
@@ -464,27 +367,13 @@ PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
         ws, exec_);
   } else {
     encode_tile_packed(x, begin, end, out, row_bytes);
-    ws.entry_ptrs.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ws.entry_ptrs[i] = out + i * row_bytes;
-    }
+    ScoringWorkspace::row_table(ws.entry_ptrs,
+                                static_cast<const unsigned char*>(out), m,
+                                row_bytes);
   }
-  // Retype the entry pointers into the table the gather kernels consume.
-  // Ring entries are 64-byte aligned and staging rows a multiple of 8
-  // bytes apart in a 64-aligned buffer, so the word casts are safe.
-  if (bits == 1) {
-    ws.word_rows.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ws.word_rows[i] =
-          reinterpret_cast<const std::uint64_t*>(ws.entry_ptrs[i]);
-    }
-    return PackedRows(ws.word_rows.data(), m, dims);
-  }
-  ws.i8_rows.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    ws.i8_rows[i] = reinterpret_cast<const std::int8_t*>(ws.entry_ptrs[i]);
-  }
-  return PackedRows(ws.i8_rows.data(), m, dims, bits);
+  // Retype the entry pointers into the table the scoring tile consumes.
+  if (bits == 1) return {ws.typed_rows(ws.word_rows, m), m, dims};
+  return {ws.typed_rows(ws.i8_rows, m), m, dims, bits};
 }
 
 void QuantizedCyberHd::scores_encoded(const PackedBatch& h,
@@ -493,7 +382,19 @@ void QuantizedCyberHd::scores_encoded(const PackedBatch& h,
   assert(h.bits() == model_.bits());
   out.resize(h.rows(), model_.num_classes());
   if (h.rows() == 0) return;
-  model_.similarities_packed(h, out.row(0).data(), exec_);
+  // Contiguous adapter: a trivial row table over the packed rows.
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const std::size_t n = h.rows();
+  const PackedRows rows =
+      h.bits() == 1
+          ? PackedRows(ScoringWorkspace::row_table(ws.word_rows,
+                                                   h.word_row(0), n,
+                                                   h.words()),
+                       n, h.dims())
+          : PackedRows(ScoringWorkspace::row_table(ws.i8_rows, h.i8_row(0),
+                                                   n, h.dims()),
+                       n, h.dims(), h.bits());
+  model_.similarities_packed(rows, out.row(0).data(), exec_);
 }
 
 void QuantizedCyberHd::scores_block(const core::Matrix& x,
@@ -505,10 +406,9 @@ void QuantizedCyberHd::scores_block(const core::Matrix& x,
     // Quantized end to end, zero-copy: stage 1 packs each row at encode
     // time, PINS cache hits in the ring instead of memcpying them out,
     // and encodes only the misses into the thread-local staging; stage 2
-    // streams the resulting row-pointer view through the gather tile
-    // kernels. No float row crosses the stage boundary, no hit byte is
-    // copied, and every score is bit-identical to the re-quantize path
-    // below.
+    // streams the resulting row view through the integer tile kernels. No
+    // float row crosses the stage boundary, no hit byte is copied, and
+    // every score is bit-identical to quantize-then-similarities().
     thread_local PackedStaging staging;
     ScoringWorkspace& ws = ScoringWorkspace::tl();
     const PackedRows packed =
@@ -517,14 +417,14 @@ void QuantizedCyberHd::scores_block(const core::Matrix& x,
     ws.borrow.release();
     return;
   }
-  // bits 16/32 keep the float pipeline: cached float encode, then per-row
-  // quantize-and-score. Staging is thread_local so the block loop reuses
-  // one allocation per calling thread.
+  // bits 16/32 keep the float pipeline: the float stage-1 driver, then
+  // per-row quantize-and-score of the row view into the block's output
+  // rows. Staging is thread_local so the block loop reuses one allocation
+  // per calling thread.
   thread_local core::Matrix staging;
-  const EncodedBatch encoded =
-      encode_block_cached(*encoder_, encode_cache_.get(), x, begin, end,
-                          staging, exec_);
-  // Stage 2: quantized scoring of the view into the block's output rows.
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const EncodedRows encoded = encode_block_borrowed(
+      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec_);
   exec_.parallel_for(
       m,
       [&](std::size_t lo, std::size_t hi) {
@@ -533,6 +433,7 @@ void QuantizedCyberHd::scores_block(const core::Matrix& x,
         }
       },
       /*grain=*/32);
+  ws.borrow.release();
 }
 
 void QuantizedCyberHd::set_encode_cache(std::size_t capacity_rows,

@@ -70,17 +70,13 @@ class QuantizedHdcModel {
   /// written to `dst` (packed_row_bytes() bytes). Thread-safe.
   /// Precondition: bits() <= 8.
   void pack_row(std::span<const float> h, unsigned char* dst) const;
-  /// Quantized-domain cosine scores of a packed tile: writes
-  /// h.rows() x num_classes() floats to `out` (row-major, stride
-  /// num_classes()), split across `exec`'s pool. Thread-safe.
-  /// Preconditions: bits() <= 8, h.bits() == bits(), h.dims() == dims().
-  void similarities_packed(const PackedBatch& h, float* out,
-                           const core::ExecutionContext& exec) const;
-  /// Zero-copy sibling: the same scoring over an INDIRECT packed row view
-  /// (rows borrowed from the encode cache ring, staging rows, any mix),
-  /// streamed through the gather tile kernels. Bit-identical to the
-  /// contiguous overload over the same row bytes — the gather kernels
-  /// share the contiguous kernels' register-blocked inner body.
+  /// The batch scorer: quantized-domain cosine scores of a packed row
+  /// view (rows borrowed from the encode cache ring, staging rows, a
+  /// trivial table over a contiguous batch — any mix), streamed through
+  /// the integer tile kernels; writes h.rows() x num_classes() floats to
+  /// `out` (row-major, stride num_classes()), split across `exec`'s pool.
+  /// Thread-safe. Preconditions: bits() <= 8, h.bits() == bits(),
+  /// h.dims() == dims().
   void similarities_packed(const PackedRows& h, float* out,
                            const core::ExecutionContext& exec) const;
 
@@ -174,23 +170,26 @@ class QuantizedCyberHd final : public core::Classifier {
   /// predict_batch (from core::Classifier) rides the same driver.
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
-  /// Stage 1 alone (bits <= 8): encode rows [begin, end) of `x` straight
-  /// into packed form — through the packed encode cache when armed —
-  /// staged in `staging`. The returned view borrows `staging`'s bytes.
-  PackedBatch encode_block_packed(const core::Matrix& x, std::size_t begin,
-                                  std::size_t end,
-                                  PackedStaging& staging) const;
-  /// Zero-copy stage 1 (bits <= 8): like encode_block_packed, but cache
-  /// hits are BORROWED (pinned in the ring, no memcpy out) and only misses
-  /// land in `staging`. The returned indirect view routes each row to its
-  /// ring slot or staging offset through `ws`'s pointer tables; the caller
-  /// must release ws.borrow after stage 2 consumes the rows. With the
-  /// cache disabled every row encodes into `staging` and no pins are
-  /// taken — the view is still valid and ws.borrow is empty.
+  /// Stage 1 (bits <= 8), the one packed driver: encode rows [begin, end)
+  /// of `x` straight into packed form. Cache hits are BORROWED (pinned in
+  /// the ring, no memcpy out) and only misses land in `staging`. The
+  /// returned view routes each row to its ring slot or staging offset
+  /// through `ws`'s pointer tables; the caller must release ws.borrow
+  /// after stage 2 consumes the rows. With the cache disabled every row
+  /// encodes into `staging` and no pins are taken — the view is still
+  /// valid and ws.borrow is empty.
   PackedRows encode_block_packed_borrowed(const core::Matrix& x,
                                           std::size_t begin, std::size_t end,
                                           PackedStaging& staging,
                                           ScoringWorkspace& ws) const;
+  /// Stage 1 into contiguous rows (bits <= 8): runs
+  /// encode_block_packed_borrowed, then copies cache hits and in-batch
+  /// replays into their `staging` rows and releases the pins — the
+  /// serving path itself never makes this copy. The returned view borrows
+  /// `staging`'s bytes.
+  PackedBatch encode_block_packed(const core::Matrix& x, std::size_t begin,
+                                  std::size_t end,
+                                  PackedStaging& staging) const;
   /// Fused tile-encode-and-quantize (bits <= 8), bypassing the cache:
   /// rows [begin, end) of `x` run through the encoder's GEMM-shaped tile
   /// in flow blocks, and each finished float row is quantized straight
@@ -198,19 +197,14 @@ class QuantizedCyberHd final : public core::Classifier {
   /// dst + i * dst_stride (packed_row_bytes() bytes each) — no
   /// batch-sized float staging matrix ever exists. Same quantize
   /// expression as pack_row, so the packed bytes are bit-identical to
-  /// encode-then-pack. Both encode_block_packed paths (cache miss batch,
-  /// cache off) ride this.
+  /// encode-then-pack. Both stage-1 paths (cache miss batch, cache off)
+  /// ride this.
   void encode_tile_packed(const core::Matrix& x, std::size_t begin,
                           std::size_t end, unsigned char* dst,
                           std::size_t dst_stride) const;
-  /// Stage 2 alone: quantized-domain scores of an already-encoded float
-  /// view (the query rows are re-quantized per row); `out` is resized to
-  /// h.rows() x num_classes().
-  void scores_encoded(const EncodedBatch& h, core::Matrix& out) const;
-  /// Stage 2 alone, packed domain (bits <= 8): scores of an
-  /// encode_block_packed view, no float detour; `out` is resized to
-  /// h.rows() x num_classes(). Bit-identical to the float overload over
-  /// the same rows.
+  /// Stage 2 alone (bits <= 8): packed-domain scores of a contiguous
+  /// encode_block_packed view (scored through a trivial row table), no
+  /// float detour; `out` is resized to h.rows() x num_classes().
   void scores_encoded(const PackedBatch& h, core::Matrix& out) const;
 
   /// Resize the serving encode cache (0 disables; `shards` = 0 picks the
@@ -231,7 +225,7 @@ class QuantizedCyberHd final : public core::Classifier {
   const QuantizedHdcModel& model() const noexcept { return model_; }
 
  private:
-  /// Shared miss half of both encode_block_packed drivers: gather the
+  /// Miss half of the packed stage-1 driver: gather the
   /// cache lookup's miss rows into the workspace's raw block, run them
   /// through the fused tile-encode-and-pack, scatter the packed rows to
   /// their batch offsets in `o`.

@@ -15,7 +15,7 @@
 // this with a counting operator new).
 //
 // BorrowGuard is the other half of zero-copy hits: instead of memcpying a
-// hit entry out of the cache ring, the borrow-mode drivers PIN the slot
+// hit entry out of the cache ring, the stage-1 drivers PIN the slot
 // (a per-slot pin count, mutated only under the shard mutex) and record a
 // stable pointer into the ring storage. Ring eviction skips pinned slots,
 // and ring storage never reallocates after its lazy ensure_storage, so the
@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -37,8 +38,8 @@ namespace cyberhd::hdc {
 
 class EncodeCache;
 
-/// RAII set of pinned cache slots. Filled by the borrow-mode cache
-/// drivers; released (unpinning every slot) explicitly after scoring, or
+/// RAII set of pinned cache slots. Filled by the stage-1 cache driver;
+/// released (unpinning every slot) explicitly after scoring, or
 /// at destruction as a backstop. Never holds pins across flushes.
 class BorrowGuard {
  public:
@@ -70,7 +71,7 @@ class BorrowGuard {
 /// use distinct members, so one flush may touch all of them without
 /// aliasing.
 struct ScoringWorkspace {
-  // --- cache routing (EncodeCache::encode_entries) -----------------------
+  // --- cache routing (EncodeCache::encode_entries_borrowed) --------------
   std::vector<std::uint64_t> hashes;        // per batch row
   std::vector<std::uint32_t> shard_of_row;  // per batch row
   // Counting-sort bucketing of batch rows by shard (replaces the old
@@ -151,14 +152,60 @@ struct ScoringWorkspace {
 
   // --- zero-copy row tables ---------------------------------------------
   // Per batch row: where its encoded entry lives (borrowed ring slot or
-  // staging row). entry_ptrs is what the borrow-mode cache driver fills;
-  // the typed tables are what the gather kernels consume.
+  // staging row). entry_ptrs is what every stage-1 driver fills, cache on
+  // or off; the typed tables are what the scoring tiles consume.
   std::vector<const unsigned char*> entry_ptrs;
   std::vector<const float*> f32_rows;
   std::vector<const std::int8_t*> i8_rows;
   std::vector<const std::uint64_t*> word_rows;
+  /// Trivial table over one contiguous tile, filled right before a single
+  /// tile-kernel call and read by it alone (the trainer's score blocks,
+  /// the sign-projection encoder). Kept apart from f32_rows so an encode
+  /// nested inside a stage-1 driver never clobbers the batch's view.
+  std::vector<const float*> tile_f32_rows;
   /// The pins backing any borrowed entries above, released after stage 2.
   BorrowGuard borrow;
+
+  /// Point `table` at `rows` consecutive rows `stride` elements apart from
+  /// `base` and return it — the trivial row-pointer table through which
+  /// contiguous callers feed the scoring tiles. The table only grows, so
+  /// steady-state calls never allocate.
+  template <class T>
+  static const T* const* row_table(std::vector<const T*>& table,
+                                   const T* base, std::size_t rows,
+                                   std::size_t stride) {
+    if (table.size() < rows) table.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) table[r] = base + r * stride;
+    return table.data();
+  }
+
+  /// Retype the first `rows` entry_ptrs into `table`, the typed view the
+  /// scoring tile of that element type reads, and return it. Ring entries
+  /// are 64-byte aligned and staging rows sit a multiple of the element
+  /// size apart in aligned buffers, so the casts are sound.
+  template <class T>
+  const T* const* typed_rows(std::vector<const T*>& table,
+                             std::size_t rows) {
+    if (table.size() < rows) table.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      table[r] = reinterpret_cast<const T*>(entry_ptrs[r]);
+    }
+    return table.data();
+  }
+
+  /// Make the last stage-1 view contiguous in `staging` (rows of
+  /// `row_bytes` each): copy every entry that entry_ptrs places outside
+  /// its own staging row — a borrowed ring slot or an in-batch replay —
+  /// into that row, then release the pins. The cache never copies a hit;
+  /// callers that need contiguous rows pay for the copy here.
+  void materialize(unsigned char* staging, std::size_t rows,
+                   std::size_t row_bytes) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      unsigned char* dst = staging + r * row_bytes;
+      if (entry_ptrs[r] != dst) std::memcpy(dst, entry_ptrs[r], row_bytes);
+    }
+    borrow.release();
+  }
 
   // --- scoring scratch ---------------------------------------------------
   /// Per-class norms (float path) or reused norm scratch; recomputed every

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/kernels/kernels.hpp"
+#include "hdc/scoring_workspace.hpp"
 
 namespace cyberhd::hdc {
 
@@ -235,8 +236,12 @@ void Trainer::update_tile(HdcModel& model, const float* tile,
   const auto score_rows = [&](std::size_t begin, std::size_t end) {
     for (std::size_t b = begin; b < end; b += score_block) {
       const std::size_t block = std::min(score_block, end - b);
-      k.similarities_tile_f32(tile + b * dims, block, classes, num_classes,
-                              dims, scores.data() + b * num_classes);
+      // The tile is contiguous: a trivial row table in the worker's own
+      // reused scratch feeds the row-pointer kernel.
+      const float* const* rows_tbl = ScoringWorkspace::row_table(
+          ScoringWorkspace::tl().tile_f32_rows, tile + b * dims, block, dims);
+      k.similarities_tile_f32(rows_tbl, block, classes, num_classes, dims,
+                              scores.data() + b * num_classes);
       for (std::size_t r = b; r < b + block; ++r) {
         const float hn = core::norm2({tile + r * dims, dims});
         float* row_scores = scores.data() + r * num_classes;

@@ -61,9 +61,6 @@ TEST(KernelDispatch, ActiveBackendIsAlwaysValid) {
   ASSERT_NE(k.quantized_dot_i8, nullptr);
   ASSERT_NE(k.similarities_tile_i8, nullptr);
   ASSERT_NE(k.hamming_tile_1b, nullptr);
-  ASSERT_NE(k.similarities_tile_f32_gather, nullptr);
-  ASSERT_NE(k.similarities_tile_i8_gather, nullptr);
-  ASSERT_NE(k.hamming_tile_1b_gather, nullptr);
 }
 
 TEST(KernelParity, DotF32) {
@@ -168,7 +165,57 @@ TEST(KernelParity, QuantizedDotI8BitExact) {
             avx2->quantized_dot_i8(a.data(), b.data(), big));
 }
 
-// ---- the integer tile kernels (packed quantized serving) -------------------
+// ---- the scoring tiles ------------------------------------------------------
+// Every scoring tile reads its query rows through a row-pointer table.
+// Each test below checks every runnable backend against the per-pair
+// reference over the three kinds of table the serving driver builds:
+//  * contiguous — h + r * stride, what the trainer and the contiguous
+//    adapters pass;
+//  * shuffled — a permutation ((r * 7 + 3) % rows permutes every tested
+//    row count), what a mix of borrowed cache entries and staging rows
+//    looks like;
+//  * aliased — entries 2k and 2k + 1 both point at row 2k, what in-batch
+//    duplicates produce (within the register block and in its tail).
+
+enum class TableKind { kContiguous, kShuffled, kAliased };
+constexpr TableKind kTableKinds[] = {TableKind::kContiguous,
+                                     TableKind::kShuffled,
+                                     TableKind::kAliased};
+
+const char* table_name(TableKind kind) {
+  switch (kind) {
+    case TableKind::kContiguous:
+      return "contiguous";
+    case TableKind::kShuffled:
+      return "shuffled";
+    case TableKind::kAliased:
+      return "aliased";
+  }
+  return "?";
+}
+
+/// A row table of `kind` over `rows` rows of `stride` elements at `base`.
+template <class T>
+std::vector<const T*> row_table(const T* base, std::size_t rows,
+                                std::size_t stride, TableKind kind) {
+  std::vector<const T*> tbl(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::size_t src = r;
+    if (kind == TableKind::kShuffled) src = (r * 7 + 3) % rows;
+    if (kind == TableKind::kAliased) src = r - r % 2;
+    tbl[r] = base + src * stride;
+  }
+  return tbl;
+}
+
+std::vector<const core::Kernels*> runnable_backends() {
+  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
+  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
+  if (const core::Kernels* avx512 = runnable_avx512()) {
+    backends.push_back(avx512);
+  }
+  return backends;
+}
 
 /// Every backend's int8 tile must reproduce the scalar per-pair
 /// quantized_dot_i8 bit-for-bit — all the math is exact integer, so unlike
@@ -176,18 +223,13 @@ TEST(KernelParity, QuantizedDotI8BitExact) {
 /// the VNNI kernel when the avx512 table carries it. Rows straddle the
 /// 4-row register block, dims the 16- and 64-lane vector widths and tails.
 TEST(KernelTile, SimilaritiesTileI8MatchesPerPairDotExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
   const core::Kernels& scalar = core::scalar_kernels();
   core::Rng rng(21);
-  for (const core::Kernels* k : backends) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims :
-             {1u, 15u, 16u, 17u, 63u, 64u, 65u, 100u, 118u, 512u}) {
+        for (std::size_t dims : {1u, 7u, 15u, 16u, 17u, 63u, 64u, 65u, 100u,
+                                 118u, 130u, 512u, 1000u}) {
           std::vector<std::int8_t> h(rows * dims), cls(classes * dims);
           for (auto& v : h) {
             v = static_cast<std::int8_t>(rng.next_below(256));
@@ -195,16 +237,20 @@ TEST(KernelTile, SimilaritiesTileI8MatchesPerPairDotExactly) {
           for (auto& v : cls) {
             v = static_cast<std::int8_t>(rng.next_below(256));
           }
-          std::vector<std::int64_t> out(rows * classes, -1);
-          k->similarities_tile_i8(h.data(), rows, cls.data(), classes, dims,
-                                  out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        scalar.quantized_dot_i8(h.data() + r * dims,
-                                                cls.data() + c * dims, dims))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " dims=" << dims << " r=" << r << " c=" << c;
+          for (TableKind kind : kTableKinds) {
+            const auto tbl = row_table<std::int8_t>(h.data(), rows, dims, kind);
+            std::vector<std::int64_t> out(rows * classes, -1);
+            k->similarities_tile_i8(tbl.data(), rows, cls.data(), classes,
+                                    dims, out.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < classes; ++c) {
+                EXPECT_EQ(out[r * classes + c],
+                          scalar.quantized_dot_i8(tbl[r],
+                                                  cls.data() + c * dims, dims))
+                    << k->name << " " << table_name(kind) << " rows=" << rows
+                    << " classes=" << classes << " dims=" << dims
+                    << " r=" << r << " c=" << c;
+              }
             }
           }
         }
@@ -224,15 +270,12 @@ TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
   for (std::size_t i = big; i < 2 * big; ++i) {
     cls[i] = -128;
   }
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
+  const auto tbl =
+      row_table<std::int8_t>(h.data(), rows, big, TableKind::kContiguous);
   const core::Kernels& scalar = core::scalar_kernels();
-  for (const core::Kernels* k : backends) {
+  for (const core::Kernels* k : runnable_backends()) {
     std::vector<std::int64_t> out(rows * 2, 0);
-    k->similarities_tile_i8(h.data(), rows, cls.data(), 2, big, out.data());
+    k->similarities_tile_i8(tbl.data(), rows, cls.data(), 2, big, out.data());
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t c = 0; c < 2; ++c) {
         EXPECT_EQ(out[r * 2 + c],
@@ -245,154 +288,31 @@ TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
 }
 
 TEST(KernelTile, HammingTile1bMatchesPerPairPopcountExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
   const core::Kernels& scalar = core::scalar_kernels();
   core::Rng rng(23);
-  for (const core::Kernels* k : backends) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
         for (std::size_t words : {1u, 2u, 7u, 8u, 9u, 31u, 64u, 257u}) {
           std::vector<std::uint64_t> h(rows * words), cls(classes * words);
           for (auto& w : h) w = rng.next_u64();
           for (auto& w : cls) w = rng.next_u64();
-          std::vector<std::uint32_t> out(rows * classes, 0xffffffffu);
-          k->hamming_tile_1b(h.data(), rows, cls.data(), classes, words,
-                             out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        static_cast<std::uint32_t>(scalar.xor_popcount_words(
-                            h.data() + r * words, cls.data() + c * words,
-                            words)))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " words=" << words << " r=" << r << " c=" << c;
+          for (TableKind kind : kTableKinds) {
+            const auto tbl =
+                row_table<std::uint64_t>(h.data(), rows, words, kind);
+            std::vector<std::uint32_t> out(rows * classes, 0xffffffffu);
+            k->hamming_tile_1b(tbl.data(), rows, cls.data(), classes, words,
+                               out.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < classes; ++c) {
+                EXPECT_EQ(out[r * classes + c],
+                          static_cast<std::uint32_t>(scalar.xor_popcount_words(
+                              tbl[r], cls.data() + c * words, words)))
+                    << k->name << " " << table_name(kind) << " rows=" << rows
+                    << " classes=" << classes << " words=" << words
+                    << " r=" << r << " c=" << c;
+              }
             }
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---- gather (row-pointer) tile variants ------------------------------------
-// Each backend's gather kernel shares its contiguous sibling's
-// register-blocked inner body, so over the same row bytes the outputs must
-// be BIT-identical — floats included. The tables below shuffle the row
-// order ((r * 7 + 3) % rows is a permutation for every tested row count)
-// and compare against the contiguous kernel run on an equally shuffled
-// contiguous copy, so the test also proves the kernels follow arbitrary
-// pointer tables rather than assuming h + r * dims.
-
-std::vector<const core::Kernels*> gather_backends() {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  return backends;
-}
-
-TEST(KernelGather, SimilaritiesTileF32GatherBitIdenticalToContiguous) {
-  for (const core::Kernels* k : gather_backends()) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 7u, 16u, 65u, 130u}) {
-          const auto h = gaussian_vec(rows * dims, 9000 + rows + dims);
-          const auto cls =
-              gaussian_vec(classes * dims, 9500 + classes + dims);
-          std::vector<const float*> tbl(rows);
-          std::vector<float> shuffled(rows * dims);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * dims;
-            std::copy(tbl[r], tbl[r] + dims,
-                      shuffled.data() + r * dims);
-          }
-          std::vector<float> want(rows * classes), got(rows * classes);
-          k->similarities_tile_f32(shuffled.data(), rows, cls.data(),
-                                   classes, dims, want.data());
-          k->similarities_tile_f32_gather(tbl.data(), rows, cls.data(),
-                                          classes, dims, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " dims=" << dims << " i=" << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelGather, SimilaritiesTileI8GatherBitIdenticalToContiguous) {
-  core::Rng rng(31);
-  for (const core::Kernels* k : gather_backends()) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 7u, 16u, 65u, 130u, 1000u}) {
-          std::vector<std::int8_t> h(rows * dims), cls(classes * dims);
-          for (auto& v : h) {
-            v = static_cast<std::int8_t>(rng.next_u64() % 255) - 127;
-          }
-          for (auto& v : cls) {
-            v = static_cast<std::int8_t>(rng.next_u64() % 255) - 127;
-          }
-          std::vector<const std::int8_t*> tbl(rows);
-          std::vector<std::int8_t> shuffled(rows * dims);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * dims;
-            std::copy(tbl[r], tbl[r] + dims,
-                      shuffled.data() + r * dims);
-          }
-          std::vector<std::int64_t> want(rows * classes),
-              got(rows * classes);
-          k->similarities_tile_i8(shuffled.data(), rows, cls.data(),
-                                  classes, dims, want.data());
-          k->similarities_tile_i8_gather(tbl.data(), rows, cls.data(),
-                                         classes, dims, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " dims=" << dims << " i=" << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelGather, HammingTile1bGatherBitIdenticalToContiguous) {
-  core::Rng rng(37);
-  for (const core::Kernels* k : gather_backends()) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t words : {1u, 2u, 7u, 9u, 31u, 64u}) {
-          std::vector<std::uint64_t> h(rows * words), cls(classes * words);
-          for (auto& w : h) w = rng.next_u64();
-          for (auto& w : cls) w = rng.next_u64();
-          std::vector<const std::uint64_t*> tbl(rows);
-          std::vector<std::uint64_t> shuffled(rows * words);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * words;
-            std::copy(tbl[r], tbl[r] + words,
-                      shuffled.data() + r * words);
-          }
-          std::vector<std::uint32_t> want(rows * classes),
-              got(rows * classes);
-          k->hamming_tile_1b(shuffled.data(), rows, cls.data(), classes,
-                             words, want.data());
-          k->hamming_tile_1b_gather(tbl.data(), rows, cls.data(), classes,
-                                    words, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " words=" << words << " i=" << i;
           }
         }
       }
@@ -456,33 +376,32 @@ TEST(KernelParity, Avx512XorPopcountBitExact) {
 
 // ---- the blocked similarity tile -------------------------------------------
 
-/// Every backend's tile kernel must reproduce its own dot_f32 per (row,
-/// class) pair bit-for-bit — the contract HdcModel::similarities_batch and
+/// Every backend's float tile must reproduce its own dot_f32 per (row,
+/// class) pair bit-for-bit — the contract HdcModel::similarities_into and
 /// the minibatch trainer build their "batching never changes results"
 /// guarantee on. Row counts straddle the 4-row register block, dims the
 /// SIMD widths and tails.
 TEST(KernelTile, MatchesPerPairDotBitExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  for (const core::Kernels* k : backends) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 8u, 16u, 17u, 31u, 100u, 118u, 512u}) {
+        for (std::size_t dims :
+             {1u, 7u, 8u, 16u, 17u, 31u, 65u, 100u, 118u, 130u, 512u}) {
           const auto h = gaussian_vec(rows * dims, 40 + rows * dims);
           const auto cls = gaussian_vec(classes * dims, 50 + classes * dims);
-          std::vector<float> out(rows * classes, -1.0f);
-          k->similarities_tile_f32(h.data(), rows, cls.data(), classes, dims,
-                                   out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        k->dot_f32(h.data() + r * dims,
-                                   cls.data() + c * dims, dims))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " dims=" << dims << " r=" << r << " c=" << c;
+          for (TableKind kind : kTableKinds) {
+            const auto tbl = row_table<float>(h.data(), rows, dims, kind);
+            std::vector<float> out(rows * classes, -1.0f);
+            k->similarities_tile_f32(tbl.data(), rows, cls.data(), classes,
+                                     dims, out.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < classes; ++c) {
+                EXPECT_EQ(out[r * classes + c],
+                          k->dot_f32(tbl[r], cls.data() + c * dims, dims))
+                    << k->name << " " << table_name(kind) << " rows=" << rows
+                    << " classes=" << classes << " dims=" << dims
+                    << " r=" << r << " c=" << c;
+              }
             }
           }
         }

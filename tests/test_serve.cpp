@@ -1277,6 +1277,20 @@ struct CacheFixture {
   hdc::RbfEncoder encoder;
   core::Matrix x;
   core::Matrix reference;
+
+  /// Stage 1 of rows [begin, end) into the front of `h`: the cache's
+  /// borrowing driver, then every borrowed or replayed row copied into
+  /// place and the pins released. Returns the driver's hit count.
+  std::size_t encode_into(hdc::EncodeCache& cache, std::size_t begin,
+                          std::size_t end, core::Matrix& h,
+                          const core::ExecutionContext& exec) const {
+    hdc::ScoringWorkspace& ws = hdc::ScoringWorkspace::tl();
+    const std::size_t hits =
+        cache.encode_rows_borrowed(encoder, x, begin, end, h, ws, exec);
+    ws.materialize(reinterpret_cast<unsigned char*>(h.data()), end - begin,
+                   h.cols() * sizeof(float));
+    return hits;
+  }
 };
 
 TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
@@ -1287,7 +1301,7 @@ TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
 
   // Cold pass: 32 distinct rows miss, 8 in-batch replays hit.
   const std::size_t cold_hits =
-      cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
+      f.encode_into(cache, 0, 40, h, exec);
   EXPECT_EQ(cold_hits, 8u);
   EXPECT_EQ(h, f.reference);
   hdc::EncodeCacheStats agg = cache.stats();
@@ -1298,7 +1312,7 @@ TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
   // Warm pass: every row hits its shard.
   core::Matrix h2(40, 32);
   const std::size_t warm_hits =
-      cache.encode_rows(f.encoder, f.x, 0, 40, h2, exec);
+      f.encode_into(cache, 0, 40, h2, exec);
   EXPECT_EQ(warm_hits, 40u);
   EXPECT_EQ(h2, f.reference);
   agg = cache.stats();
@@ -1328,7 +1342,7 @@ TEST(ShardedEncodeCache, ClearCoversEveryShard) {
   hdc::EncodeCache cache(6, 32, 64, 8);
   core::Matrix h(40, 32);
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
-  cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
+  f.encode_into(cache, 0, 40, h, exec);
   EXPECT_GT(cache.size(), 0u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -1340,7 +1354,7 @@ TEST(ShardedEncodeCache, ClearCoversEveryShard) {
   }
   // And the cleared cache re-encodes correctly (32 fresh misses).
   core::Matrix h2(40, 32);
-  cache.encode_rows(f.encoder, f.x, 0, 40, h2, exec);
+  f.encode_into(cache, 0, 40, h2, exec);
   EXPECT_EQ(h2, f.reference);
   EXPECT_EQ(cache.stats().misses, 32u);
 }
@@ -1354,7 +1368,7 @@ TEST(ShardedEncodeCache, OneSlotPerShardAliasingStaysCorrect) {
   core::Matrix h(40, 32);
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
   for (int pass = 0; pass < 3; ++pass) {
-    cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
+    f.encode_into(cache, 0, 40, h, exec);
     EXPECT_EQ(h, f.reference) << "pass " << pass;
   }
   EXPECT_GT(cache.stats().evictions, 0u);
@@ -1377,7 +1391,7 @@ TEST(ShardedEncodeCache, ConcurrentHammerStaysBitIdentical) {
       const std::size_t begin = t * 4;
       const std::size_t end = 40 - (kThreads - 1 - t) * 4;
       for (int it = 0; it < kIters; ++it) {
-        cache.encode_rows(f.encoder, f.x, begin, end, h, exec);
+        f.encode_into(cache, begin, end, h, exec);
         for (std::size_t i = begin; i < end; ++i) {
           const auto got = h.row(i - begin);
           const auto want = f.reference.row(i);

@@ -289,30 +289,6 @@ TEST_P(QuantizedServing, ScoresBitIdenticalCacheOnOffEvicting) {
   EXPECT_EQ(evicting, reference);
 }
 
-TEST_P(QuantizedServing, ScoresEncodedConsumesAnyView) {
-  ServingFixture t;
-  QuantizedCyberHd q(t.model, GetParam());
-  core::Matrix reference;
-  q.scores_batch(t.queries, reference);
-
-  // Encode through the float classifier's stage 1 (same cloned encoder
-  // weights), then hand the view to the quantized stage 2.
-  core::Matrix staging;
-  const EncodedBatch encoded =
-      t.model.encode_block(t.queries, 0, t.queries.rows(), staging);
-  core::Matrix out;
-  q.scores_encoded(encoded, out);
-  EXPECT_EQ(out, reference);
-  // A sub-slice scores exactly its rows.
-  core::Matrix slice_out;
-  q.scores_encoded(encoded.slice(8, 16), slice_out);
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::size_t c = 0; c < slice_out.cols(); ++c) {
-      EXPECT_EQ(slice_out(r, c), reference(8 + r, c));
-    }
-  }
-}
-
 TEST_P(QuantizedServing, PackedStageSplitMatchesTheDriver) {
   // The packed stage-1/stage-2 API pulled apart: encode_block_packed's
   // view scored through the packed scores_encoded must equal the fused
@@ -429,6 +405,19 @@ TEST(PackedBatchView, RowBytesAndSlicesAddressPackedRows) {
 
 // ---- zero-copy borrow protocol ---------------------------------------------
 
+/// Stage 1 of rows [begin, end) into the front of `h` through the model's
+/// cache: the borrowing driver, then every borrowed or replayed row copied
+/// into place and this thread's pins released.
+void encode_into(EncodeCache& cache, const ServingFixture& t,
+                 std::size_t begin, std::size_t end, core::Matrix& h,
+                 const core::ExecutionContext& exec) {
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  cache.encode_rows_borrowed(t.model.encoder(), t.queries, begin, end, h, ws,
+                             exec);
+  ws.materialize(reinterpret_cast<unsigned char*>(h.data()), end - begin,
+                 h.cols() * sizeof(float));
+}
+
 TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   // Pin two ring slots, then wrap the ring many times over with fresh
   // inserts: eviction must route around the pinned slots, so the borrowed
@@ -444,7 +433,7 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   // Fill all 8 slots, then re-probe rows 0..2 in borrow mode: both rows
   // hit and pin their slots.
   core::Matrix fill(8, dims);
-  cache->encode_rows(t.model.encoder(), t.queries, 0, 8, fill, exec);
+  encode_into(*cache, t, 0, 8, fill, exec);
   ScoringWorkspace ws;
   core::Matrix staging;
   const std::size_t hits = cache->encode_rows_borrowed(
@@ -461,8 +450,7 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   // worth of eviction pressure while the pins are held.
   core::Matrix churn(16, dims);
   for (std::size_t begin = 8; begin < 56; begin += 16) {
-    cache->encode_rows(t.model.encoder(), t.queries, begin, begin + 16,
-                       churn, exec);
+    encode_into(*cache, t, begin, begin + 16, churn, exec);
   }
   EXPECT_GT(cache->stats().evictions, 0u);
   for (std::size_t r = 0; r < 2; ++r) {
@@ -474,7 +462,7 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
 
   // The pinned rows were never evicted: a fresh probe of them still hits.
   const EncodeCacheStats before = cache->stats();
-  cache->encode_rows(t.model.encoder(), t.queries, 0, 2, fill, exec);
+  encode_into(*cache, t, 0, 2, fill, exec);
   EXPECT_EQ(cache->stats().hits, before.hits + 2);
 
   ws.borrow.release();
